@@ -1,35 +1,35 @@
-"""Filtered subscriptions: split-egress cost, multicast vs producer-side routing.
+"""Filtered subscriptions: the split router sends each shard only its slice.
 
 Not a paper figure: the paper's deployments never fan one stream out to
-parallel consumers of disjoint slices.  The sharded scale-out does -- and
-until the `repro.deploy` control plane, the split router multicast its
-*full* output to every shard replica, which dropped the foreign ~ (N-1)/N
-at an ingress Filter after paying for serialization and transport.  With
-filtered subscriptions the slice predicate runs at the producer, so each
-shard replica only ever receives its 1/N.
+parallel consumers of disjoint slices.  The sharded scale-out does, and its
+split router evaluates each shard's slice predicate at the producer
+(filtered subscriptions), so a shard replica only ever receives its 1/N of
+the data.
 
-Measured for shard(4), same seed, same workload, both routing modes:
+Measured for shard(4) at one seed:
 
-* **split egress** -- tuples put on the wire by the split replicas (the
-  producer-side routing win; asserted to drop >= 3x) and (batch, receiver)
-  sends;
-* **ledger identity** -- the merged client ledger must be byte-identical
-  between the modes: routing is a pure optimization of the data path;
-* **throughput** -- wall-clock tuples/sec for both modes (informational) and
-  the deterministic event / Proc_new / delivered-tuple metrics tracked
-  against ``BENCH_baseline.json``.
+* **no multicast** -- every data tuple the split puts on the wire reaches
+  exactly one shard group, and every shard group receives every boundary
+  (punctuation must still reach all of them);
+* **split egress** -- tuples put on the wire by the split replicas and
+  (batch, receiver) sends;
+* **throughput** -- wall-clock tuples/sec (informational) and the
+  deterministic event / Proc_new / delivered-tuple metrics tracked against
+  ``BENCH_baseline.json``.
 
-A second benchmark closes the control loop the ROADMAP named: a zipfian
-hot-key workload, a mid-run ``Deployment.apply(plan)`` bucket handoff, and
-the merged ledger staying gap-free / duplicate-free / ordered across seeds.
+A second benchmark closes the control loop: a zipfian hot-key workload, a
+mid-run ``Deployment.apply(plan)`` bucket handoff, and the merged ledger
+staying gap-free / duplicate-free / ordered across seeds.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 
 from conftest import print_results
 
+from repro.core.protocol import DataBatch
 from repro.experiments import rebalance_run
 from repro.runtime import ScenarioSpec
 
@@ -40,11 +40,37 @@ SEED = 1
 REBALANCE_SEEDS = (1, 2, 3)
 #: Availability bound X (DPCConfig default) for the routing runs.
 BOUND_X = 3.0
-#: The headline claim: producer-side routing cuts split egress >= 3x.
-MIN_EGRESS_DROP = 3.0
 
 
-def routing_run(filtered: bool) -> dict:
+def watch_split_egress(runtime):
+    """Record what the split sends: data tuple id -> shard groups, group -> boundary ids."""
+    placement = runtime.deployment.placement
+    group_of = {
+        node.endpoint: name
+        for name in placement.shard_fragments
+        for node in runtime.node_group(name)
+    }
+    split = {node.endpoint for node in runtime.node_group(placement.shard_producer)}
+    data_groups: dict[int, set[str]] = defaultdict(set)
+    boundaries: dict[str, set[int]] = defaultdict(set)
+    send_many = runtime.network.send_many
+
+    def watched(sender, receivers, kind, payload):
+        delivered = send_many(sender, receivers, kind, payload)
+        if sender in split and isinstance(payload, DataBatch):
+            for receiver in delivered:
+                for item in payload.tuples:
+                    if item.is_data:
+                        data_groups[item.tuple_id].add(group_of[receiver])
+                    elif item.is_boundary:
+                        boundaries[group_of[receiver]].add(item.tuple_id)
+        return delivered
+
+    runtime.network.send_many = watched
+    return data_groups, boundaries
+
+
+def routing_run() -> dict:
     spec = ScenarioSpec.sharded(
         shards=SHARDS,
         aggregate_rate=RATE,
@@ -52,64 +78,59 @@ def routing_run(filtered: bool) -> dict:
         warmup=DURATION,
         settle=0.0,
         seed=SEED,
-        filtered_routing=filtered,
     )
     runtime = spec.build()
+    data_groups, boundaries = watch_split_egress(runtime)
     started = time.perf_counter()
     runtime.run()
     wall = time.perf_counter() - started
     split = runtime.node_group("split")
     summary = runtime.client.summary()
     return {
-        "label": "filtered" if filtered else "multicast",
         "egress_tuples": sum(node.tuples_sent for node in split),
         "egress_batches": sum(node.batches_sent for node in split),
         "events_fired": runtime.simulator.events_fired,
         "stable_tuples": summary["total_stable"],
         "proc_new": summary["proc_new"],
         "tuples_per_second": summary["total_stable"] / wall if wall > 0 else float("inf"),
-        "ledger": runtime.client.stable_sequence,
         "consistent": runtime.eventually_consistent(),
+        "data_groups": data_groups,
+        "boundaries": boundaries,
+        "shards": runtime.deployment.placement.shard_fragments,
     }
 
 
 def test_filtered_routing_split_egress(run_once, benchmark):
-    rows = run_once(lambda: [routing_run(False), routing_run(True)])
-    multicast, filtered = rows
-    drop = multicast["egress_tuples"] / filtered["egress_tuples"]
-    lines = [
-        (
-            f"{row['label']:<10} egress_tuples={row['egress_tuples']:>7} "
-            f"sends={row['egress_batches']:>5} events={row['events_fired']:>6} "
-            f"tuples/s={row['tuples_per_second']:>8.0f} Proc_new={row['proc_new']:.3f}s "
-            f"consistent={'yes' if row['consistent'] else 'NO'}"
-        )
-        for row in rows
-    ]
-    lines.append(
-        f"filtered vs multicast: {drop:.2f}x fewer split-egress tuples, "
-        f"ledgers identical={multicast['ledger'] == filtered['ledger']}"
-    )
+    row = run_once(routing_run)
+    data_groups, boundaries = row["data_groups"], row["boundaries"]
+    multicast = sum(1 for groups in data_groups.values() if len(groups) > 1)
+    every_boundary = set().union(*boundaries.values())
     print_results(
-        f"Filtered subscriptions: shard({SHARDS}) split egress, multicast vs filtered",
-        lines,
+        f"Filtered subscriptions: shard({SHARDS}) split egress",
+        [
+            f"egress_tuples={row['egress_tuples']:>7} sends={row['egress_batches']:>5} "
+            f"events={row['events_fired']:>6} tuples/s={row['tuples_per_second']:>8.0f} "
+            f"Proc_new={row['proc_new']:.3f}s consistent={'yes' if row['consistent'] else 'NO'}",
+            f"data tuples sent={len(data_groups)} reaching >1 shard group={multicast}; "
+            f"boundaries={len(every_boundary)} reaching every shard group="
+            f"{all(boundaries[name] == every_boundary for name in row['shards'])}",
+        ],
     )
 
-    for row in rows:
-        label = row["label"]
-        benchmark.extra_info[f"{label}_split_egress_tuples"] = row["egress_tuples"]
-        benchmark.extra_info[f"{label}_events"] = row["events_fired"]
-        benchmark.extra_info[f"{label}_proc_new"] = round(row["proc_new"], 6)
-        benchmark.extra_info[f"{label}_stable_tuples"] = row["stable_tuples"]
-    benchmark.extra_info["egress_drop"] = round(drop, 3)
+    benchmark.extra_info["filtered_split_egress_tuples"] = row["egress_tuples"]
+    benchmark.extra_info["filtered_events"] = row["events_fired"]
+    benchmark.extra_info["filtered_proc_new"] = round(row["proc_new"], 6)
+    benchmark.extra_info["filtered_stable_tuples"] = row["stable_tuples"]
 
-    # Routing is a pure data-path optimization: identical merged ledger.
-    assert multicast["ledger"] == filtered["ledger"]
-    for row in rows:
-        assert row["consistent"], row["label"]
-        assert row["proc_new"] < BOUND_X, f"{row['label']}: {row['proc_new']:.3f}"
-    # The headline claim: the split stops over-sending N-fold.
-    assert drop >= MIN_EGRESS_DROP, f"split egress only dropped {drop:.2f}x"
+    # The split does not multicast: each data tuple reaches one shard group...
+    assert data_groups
+    assert multicast == 0, f"{multicast} data tuple(s) reached more than one shard group"
+    # ...while punctuation still reaches every shard group.
+    assert every_boundary
+    for name in row["shards"]:
+        assert boundaries[name] == every_boundary, f"{name} missed boundaries"
+    assert row["consistent"]
+    assert row["proc_new"] < BOUND_X, f"{row['proc_new']:.3f}"
 
 
 def test_live_rebalance_consistency(run_once, benchmark):

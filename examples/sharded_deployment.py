@@ -5,12 +5,12 @@ The paper evaluates single nodes and chains; this example deploys the
 reproduction's sharded scale-out shape through the declarative scenario
 layer:
 
-* ``split`` merges three source streams and multicasts its output to every
-  shard (a stateless router);
-* ``shard1`` ... ``shard4`` each keep only their slice of the key space --
-  an ingress key-hash filter whose bucket ranges are owned by the
-  ``ShardPlanner`` -- and run the deployment's stateful join over that
-  slice (partitioned state is the point of sharding);
+* ``split`` merges three source streams and routes them to the shards (a
+  stateless router);
+* ``shard1`` ... ``shard4`` each receive only their slice of the key space
+  -- a key-hash filter evaluated at the split, whose bucket ranges are owned
+  by the ``ShardPlanner`` -- and run the deployment's stateful join over
+  that slice (partitioned state is the point of sharding);
 * ``merge`` reunites the slices with a 4-way fan-in SUnion, and a client
   measures the merged output.
 

@@ -7,14 +7,12 @@ which replica processes run which fragment shape, and which subscriptions
 a placement can be printed, asserted against, and :meth:`diffed
 <Placement.diff>` against another placement before anything runs.
 
-:meth:`Placement.deploy` is the other half: it materializes the plan onto a
-fresh simulator and returns a live :class:`~repro.deploy.Deployment` handle
-(see :mod:`repro.deploy.deployment`).
-
-The legacy one-shot builders (:func:`repro.sim.cluster.build_dag_cluster`
-and :func:`~repro.sim.cluster.build_chain_cluster`) are thin shims over this
-pipeline, so the two paths are the same code and produce identical
-deployments.
+:meth:`Placement.deploy` is the other half: it materializes the plan on an
+execution backend.  Both backends hand the plan to the one deploy walk,
+:func:`repro.deploy.fragments.build_fragment_stack`: the simulator hosts
+every endpoint in one process and returns a :class:`~repro.deploy.Deployment`
+handle (see :mod:`repro.deploy.deployment`); the live backend forks workers
+that each build the endpoints they host (see :mod:`repro.live.worker`).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Fragment shapes the deploy step knows how to instantiate.
 FRAGMENT_ENTRY = "entry"  # SUnion over sources (+ optional SJoin / Filter) + SOutput
 FRAGMENT_RELAY = "relay"  # 1-ary SUnion (+ optional SJoin / egress Filter) + SOutput
-FRAGMENT_INGRESS_FILTER = "ingress-filter"  # ingress Filter -> SUnion (+ SJoin) + SOutput
 FRAGMENT_FANIN = "fanin"  # SUnion over several upstream streams + SOutput
 
 
@@ -107,7 +104,6 @@ class Placement:
 
     topology: Topology
     replicas_per_node: int
-    filtered_routing: bool
     sources: tuple[SourcePlan, ...]
     nodes: tuple[NodePlan, ...]
     subscriptions: tuple[SubscriptionPlan, ...]
@@ -145,7 +141,6 @@ class Placement:
         return {
             "topology": self.topology.name,
             "replicas_per_node": self.replicas_per_node,
-            "filtered_routing": self.filtered_routing,
             "sources": [
                 {"stream": s.stream, "name": s.name, "rate_share": s.rate_share}
                 for s in self.sources
@@ -267,11 +262,11 @@ class Placement:
         """Materialize this plan on an execution backend.
 
         ``backend="sim"`` (the default) instantiates the plan on a fresh
-        discrete-event simulator and returns a :class:`Deployment` --
-        byte-identical to the historical behavior.  ``backend="live"``
-        returns a :class:`repro.live.supervisor.LiveDeployment` that runs
-        the same fragments as real OS processes over asyncio sockets in
-        wall-clock time (raises
+        discrete-event simulator and returns a :class:`Deployment`.
+        ``backend="live"`` returns a
+        :class:`repro.live.supervisor.LiveDeployment` that runs the same
+        fragments as real OS processes over asyncio sockets in wall-clock
+        time (raises
         :class:`~repro.live.supervisor.LiveBackendUnavailable` on platforms
         without the ``fork`` multiprocessing start method).
 
@@ -326,21 +321,15 @@ class Placement:
 def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadowing
     topology: Topology,
     replicas_per_node: int = 2,
-    *,
-    filtered_routing: bool = True,
 ) -> Placement:
     """Compile ``topology`` into a :class:`Placement`.
 
-    The plan mirrors the walk the cluster builder has always performed --
-    entry nodes run the Figure 12 merge fragment, single-input internal nodes
-    relay, multi-input internal nodes fan in, and each sink feeds one client
-    -- with one new decision: a node whose spec asks for an *ingress* select
-    (the shard fragments of ``Topology.shard``) is planned as a **filtered
-    subscription** when ``filtered_routing`` is on, so its slice predicate
-    runs at the producer and the fragment itself is a plain relay.  With
-    ``filtered_routing`` off the predicate stays in the fragment (an ingress
-    Filter) and the producer multicasts the full stream -- the legacy
-    data path, kept for comparison benchmarks.
+    Entry nodes run the Figure 12 merge fragment, single-input internal
+    nodes relay, multi-input internal nodes fan in, and each sink feeds one
+    client.  A node whose spec asks for an *ingress* select (the shard
+    fragments of ``Topology.shard``) is planned as a **filtered
+    subscription**: its slice predicate runs at the producer, so the
+    fragment itself is a plain relay and receives only its slice.
     """
     if replicas_per_node < 1:
         raise ConfigurationError("replicas_per_node must be >= 1")
@@ -367,16 +356,15 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
             spec.name + ("" if r == 0 else "'" * r) for r in range(replicas)
         )
         stateful = spec.stateful if spec.stateful is not None else topology.is_entry(spec)
-        ingress_select = spec.select is not None and spec.select_at == "ingress"
-        filtered = ingress_select and filtered_routing
+        filtered = spec.select is not None and spec.select_at == "ingress"
         if topology.is_entry(spec):
             fragment = FRAGMENT_ENTRY
         elif len(input_streams) == 1:
-            fragment = FRAGMENT_INGRESS_FILTER if ingress_select and not filtered else FRAGMENT_RELAY
+            fragment = FRAGMENT_RELAY
         else:
             fragment = FRAGMENT_FANIN
         index: int | None = None
-        if ingress_select and topology.shard_assignment is not None:
+        if filtered and topology.shard_assignment is not None:
             index = shard_index
             shard_index += 1
         node_plans.append(
@@ -433,7 +421,6 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
     return Placement(
         topology=topology,
         replicas_per_node=replicas_per_node,
-        filtered_routing=filtered_routing,
         sources=sources,
         nodes=tuple(node_plans),
         subscriptions=tuple(subscription_plans),

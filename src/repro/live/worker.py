@@ -1,13 +1,13 @@
-"""Live worker process: one fragment of a Placement on a real event loop.
+"""Live worker process: the endpoints of a Placement one process hosts.
 
 A worker hosts a set of *endpoints* -- node replicas, data sources, client
-proxies -- and mirrors exactly the wiring walk
-:func:`repro.deploy.deployment.deploy_placement` performs, gated by a
-``hosts(endpoint)`` predicate: every registration lands on whichever side of
-the edge this worker hosts (a source's ``subscribe`` on the source's worker,
-the consumer's ``register_input_stream`` on the consumer's worker, the
-producer head replica's ``register_subscriber`` on its worker), so the union
-of all workers reproduces the simulator deployment edge for edge.
+proxies -- and builds them with the one deploy walk,
+:func:`repro.deploy.fragments.build_fragment_stack`, passing its hosted set
+as ``hosts``.  The walk's ``hosts`` contract puts every registration on the
+worker hosting that side of the edge, so the union of all workers is the
+simulator deployment edge for edge.  The worker then registers the stack's
+subscription filters with the wire codec (which resolves filters by name)
+and its peers in a :class:`RemotePeerRegistry`.
 
 The supervisor (:mod:`repro.live.supervisor`) assigns one worker per node
 replica plus a single *edge* worker hosting every source and client; killing
@@ -22,23 +22,13 @@ child by memory inheritance, never by pickling.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
-from ..config import DPCConfig, SimulationConfig
-from ..core.node import ProcessingNode
-from ..deploy.filters import SubscriptionFilter
-from ..deploy.placement import (
-    FRAGMENT_ENTRY,
-    FRAGMENT_INGRESS_FILTER,
-    FRAGMENT_RELAY,
-    Placement,
-)
-from ..errors import ConfigurationError
+from ..deploy.fragments import FragmentStack, build_fragment_stack
+from ..deploy.placement import Placement
 from ..sim.client import ClientApplication
-from ..sim.sources import DataSource
 from ..statexfer import PeerRegistry
 from . import wire
 from .clock import LiveClock
@@ -82,231 +72,6 @@ class WorkerSpec:
     generation: int = 0
     #: Scheduled wire/window faults this worker's transport enforces.
     fault_plan: FaultPlan = FaultPlan()
-
-
-@dataclass
-class FragmentStack:
-    """The locally hosted slice of the deployment."""
-
-    sources: dict[str, DataSource] = field(default_factory=dict)  # stream -> source
-    nodes: dict[str, ProcessingNode] = field(default_factory=dict)  # endpoint -> node
-    clients: dict[str, ClientApplication] = field(default_factory=dict)
-    filters: dict[str, SubscriptionFilter] = field(default_factory=dict)
-
-
-def build_fragment_stack(
-    placement: Placement,
-    *,
-    clock,
-    network,
-    hosts: Callable[[str], bool],
-    config: DPCConfig,
-    sim_config: SimulationConfig,
-    aggregate_rate: float,
-    payload_factory,
-    join_state_size: int | None,
-    per_node_delay: float | None,
-    diagram_factory,
-    seed: int | None,
-    rate_profile,
-    source_stop_time: float | None,
-) -> FragmentStack:
-    """Mirror of ``deploy_placement``'s walk, gated by ``hosts``.
-
-    Every constant below (rate division, start offset, diagram choice per
-    fragment kind, push-state cadence rule) matches the simulator deploy walk
-    line for line: the parity harness depends on both backends computing the
-    identical workload and wiring.
-    """
-    from ..sim.cluster import (
-        _node_delay_budgets,
-        merge_diagram,
-        relay_diagram,
-        shard_relay_diagram,
-    )
-
-    topology = placement.topology
-    config.validate()
-    sim_config.validate()
-    delay_budgets = _node_delay_budgets(topology, config, per_node_delay)
-    start_offset = (
-        random.Random(seed).uniform(0.0, sim_config.batch_interval * 0.5)
-        if seed is not None
-        else 0.0
-    )
-    stack = FragmentStack()
-
-    # --- sources (hosted only; the name->stream map covers all of them) --------
-    source_streams: dict[str, str] = {plan.stream: plan.name for plan in placement.sources}
-    for plan in placement.sources:
-        if not hosts(plan.name):
-            continue
-        stack.sources[plan.stream] = DataSource(
-            name=plan.name,
-            stream=plan.stream,
-            simulator=clock,
-            network=network,
-            rate=aggregate_rate / len(placement.sources),
-            boundary_interval=config.boundary_interval,
-            batch_interval=sim_config.batch_interval,
-            payload=payload_factory(plan.payload_index, len(placement.sources)),
-            start_time=start_offset,
-            stop_time=source_stop_time,
-            rate_profile=rate_profile,
-        )
-
-    # --- subscription filters: every worker rebuilds the full set --------------
-    # (wire decoding resolves filters by name, and a worker can receive a
-    # SUBSCRIBE carrying any consumer's filter during failover).
-    for edge in placement.filtered_subscriptions():
-        spec = topology.node(edge.consumer)
-        if spec.select is None:  # pragma: no cover - placement guarantees it
-            raise ConfigurationError(
-                f"filtered subscription of {edge.consumer!r} has no predicate"
-            )
-        filter = SubscriptionFilter(
-            spec.select, name=edge.filter_name or f"{edge.consumer}.slice"
-        )
-        stack.filters[edge.consumer] = filter
-        wire.register_filter(filter)
-
-    # --- processing nodes (hosted replicas only) -------------------------------
-    for plan in placement.nodes:
-        spec = topology.node(plan.name)
-        node_join_state = join_state_size if plan.stateful else None
-        for node_name in plan.replica_names:
-            if not hosts(node_name):
-                continue
-            if plan.fragment == FRAGMENT_ENTRY:
-                if diagram_factory is not None:
-                    diagram = diagram_factory(node_name, plan.inputs, plan.output_stream)
-                else:
-                    diagram = merge_diagram(
-                        node_name,
-                        plan.inputs,
-                        plan.output_stream,
-                        bucket_size=config.bucket_size,
-                        join_state_size=node_join_state,
-                        select=spec.select,
-                    )
-            elif plan.fragment == FRAGMENT_INGRESS_FILTER:
-                diagram = shard_relay_diagram(
-                    node_name,
-                    plan.inputs[0],
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    select=spec.select,
-                    join_state_size=node_join_state,
-                )
-            elif plan.fragment == FRAGMENT_RELAY:
-                filtered = plan.name in stack.filters
-                diagram = relay_diagram(
-                    node_name,
-                    plan.inputs[0],
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    select=None if filtered else spec.select,
-                    join_state_size=node_join_state,
-                )
-            else:  # FRAGMENT_FANIN
-                diagram = merge_diagram(
-                    node_name,
-                    plan.inputs,
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    join_state_size=node_join_state,
-                    select=spec.select,
-                )
-            stack.nodes[node_name] = ProcessingNode(
-                name=node_name,
-                diagram=diagram,
-                simulator=clock,
-                network=network,
-                config=config,
-                sim_config=sim_config,
-                assigned_delay=delay_budgets[plan.name],
-                replica_partners=[o for o in plan.replica_names if o != node_name],
-                rng_seed=seed,
-            )
-
-    # --- wiring: sources -> consuming node replicas -----------------------------
-    for stream, source in stack.sources.items():
-        for spec in topology.consumers_of(stream):
-            for endpoint in placement.node_plan(spec.name).replica_names:
-                source.subscribe(endpoint)
-    for spec in topology:
-        for node_name in placement.node_plan(spec.name).replica_names:
-            node = stack.nodes.get(node_name)
-            if node is None:
-                continue
-            for stream in spec.inputs:
-                if stream not in source_streams:
-                    continue
-                producer = source_streams[stream]
-                node.register_input_stream(
-                    stream, producers=[producer], source_producers=[producer]
-                )
-
-    # --- wiring: node -> node edges ----------------------------------------------
-    push_state = config.keepalive_period + 1e-12 >= sim_config.batch_interval
-    for spec in topology:
-        consumer_filter = stack.filters.get(spec.name)
-        for upstream_spec in topology.upstream_nodes(spec):
-            upstream_names = list(placement.node_plan(upstream_spec.name).replica_names)
-            upstream_stream = upstream_spec.output_stream
-            for node_name in placement.node_plan(spec.name).replica_names:
-                consumer = stack.nodes.get(node_name)
-                if consumer is not None:
-                    consumer.register_input_stream(
-                        upstream_stream,
-                        producers=upstream_names,
-                        push_producers=upstream_names if push_state else (),
-                        subscription_filter=consumer_filter,
-                    )
-                head = stack.nodes.get(upstream_names[0])
-                if head is not None:
-                    head.register_subscriber(
-                        upstream_stream, node_name, subscription_filter=consumer_filter
-                    )
-                if push_state:
-                    for upstream_name in upstream_names:
-                        upstream = stack.nodes.get(upstream_name)
-                        if upstream is not None:
-                            upstream.add_state_watcher(node_name)
-
-    # --- clients: one per sink -----------------------------------------------------
-    for plan in placement.clients:
-        sink_names = list(placement.node_plan(plan.sink).replica_names)
-        if hosts(plan.name):
-            client = ClientApplication(
-                name=plan.name,
-                stream=plan.stream,
-                simulator=clock,
-                network=network,
-                config=config,
-                rng_seed=seed,
-            )
-            client.register_upstream(
-                producers=sink_names, push_producers=sink_names if push_state else ()
-            )
-            stack.clients[plan.name] = client
-        head = stack.nodes.get(sink_names[0])
-        if head is not None:
-            head.register_subscriber(plan.stream, plan.name)
-        if push_state:
-            for sink_name in sink_names:
-                sink = stack.nodes.get(sink_name)
-                if sink is not None:
-                    sink.add_state_watcher(plan.name)
-
-    # --- state-transfer peer registry (local peers only) -----------------------------
-    registry = RemotePeerRegistry()
-    for source in stack.sources.values():
-        registry.register_source(source)
-    for node in stack.nodes.values():
-        registry.register_node(node)
-        node.statexfer_registry = registry
-    return stack
 
 
 # --------------------------------------------------------------------------- results
@@ -417,6 +182,9 @@ async def _worker_async(
         hosts=lambda endpoint: endpoint in spec.hosted,
         **deploy_kwargs,
     )
+    for subscription_filter in stack.filters.values():
+        wire.register_filter(subscription_filter)
+    stack.register_peers(RemotePeerRegistry())
     # All workers start their protocol stacks at the shared epoch, so the
     # startup grace and keepalive cadences line up across processes.
     delay = spec.epoch - time.monotonic()

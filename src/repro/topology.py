@@ -249,11 +249,12 @@ class Topology:
     ) -> "Topology":
         """N-way key-hash sharded scale-out: split -> N shards -> fan-in merge.
 
-        ``split`` merges the source streams and multicasts its output to
-        every shard; ``shard1`` ... ``shardN`` each keep only their slice of
-        the key space (an *ingress* key-hash filter ahead of their SUnion,
-        so per-shard serialization, buffering, and output work is 1/N); and
-        ``merge`` reunites the slices with an N-way fan-in SUnion.
+        ``split`` merges the source streams and routes them to the shards;
+        ``shard1`` ... ``shardN`` each receive only their slice of the key
+        space (an *ingress* key-hash select, which the deploy layer runs at
+        the split as a filtered subscription, so per-shard serialization,
+        buffering, and output work is 1/N); and ``merge`` reunites the
+        slices with an N-way fan-in SUnion.
 
         The slice predicates are owned by a :class:`~repro.sharding.ShardPlanner`:
         pass ``assignment`` to deploy a rebalanced bucket map (e.g. the

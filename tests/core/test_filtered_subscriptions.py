@@ -108,7 +108,7 @@ def test_empty_replay_response_is_sent_and_clears_awaiting_replay():
     from repro.config import DPCConfig, SimulationConfig
     from repro.core.node import ProcessingNode
     from repro.core.protocol import DATA, SUBSCRIBE
-    from repro.sim.cluster import relay_diagram
+    from repro.deploy.fragments import relay_diagram
     from repro.sim.event_loop import Simulator
     from repro.sim.network import Network
 

@@ -7,7 +7,7 @@ from repro.core.node import ProcessingNode
 from repro.core.protocol import DATA, SUBSCRIBE, DataBatch, SubscribeRequest
 from repro.core.states import NodeState
 from repro.errors import ProtocolError
-from repro.sim.cluster import merge_diagram, relay_diagram
+from repro.deploy.fragments import merge_diagram, relay_diagram
 from repro.sim.event_loop import Simulator
 from repro.sim.network import Message, Network
 from repro.spe.tuples import StreamTuple

@@ -114,14 +114,6 @@ def test_scale_out_attaches_a_live_fragment():
     assert_ledger_clean(runtime)
 
 
-def test_scale_out_requires_the_deploy_placement_context():
-    runtime = running(
-        priced_spec(1, warmup=4.0, settle=4.0, filtered_routing=False), 4.0
-    )
-    with pytest.raises(ConfigurationError, match="filtered"):
-        runtime.deployment.scale_out()
-
-
 def test_subscribe_live_replays_the_uncovered_suffix():
     runtime = running(priced_spec(1), 12.0)
     deployment = runtime.deployment
@@ -164,9 +156,8 @@ def test_scale_in_decommissions_the_drained_fragment():
     for split_node in runtime.node_group(split_name):
         remaining = split_node.data_path.output(split_stream).subscribers()
         assert not set(retired_endpoints) & set(remaining)
-    if deployment.registry is not None:
-        for endpoint in retired_endpoints:
-            assert endpoint not in deployment.registry._nodes
+    for endpoint in retired_endpoints:
+        assert endpoint not in deployment.registry._nodes
     runtime.run_for(7.0)
     assert_ledger_clean(runtime)
 
@@ -340,11 +331,6 @@ def test_observed_bucket_loads_skip_crashed_replicas():
 def test_autoscale_requires_a_sharded_topology():
     with pytest.raises(ConfigurationError, match="sharded"):
         ScenarioSpec.chain(1, autoscale=AutoscalePolicy()).validate()
-
-
-def test_autoscale_requires_filtered_routing():
-    with pytest.raises(ConfigurationError, match="filtered_routing"):
-        priced_spec(1, filtered_routing=False, autoscale=AutoscalePolicy()).validate()
 
 
 def test_autoscale_floor_cannot_exceed_the_deployed_shards():
