@@ -24,10 +24,12 @@ model is built for per-instance cost rather than generic convenience:
   and, for the transforms, skipping payload-dict allocation entirely: the
   copy *shares* the source tuple's ``values`` mapping.
 * Instances are immutable **by convention**: nothing in the codebase ever
-  mutates a tuple (payload dicts included) after construction, and
-  checkpoint containers deep-copy whatever they capture, so sharing payload
-  mappings across relabeled copies is safe.  ``__slots__`` still rejects
-  foreign attributes outright.
+  mutates a tuple (payload dicts included) after construction.  That makes
+  sharing payload mappings across relabeled copies safe, and checkpoints
+  rely on it too: their structural copy rebuilds state containers but shares
+  the tuples and payloads inside (see :mod:`repro.spe.checkpoint`), so a
+  tuple mutated after capture would corrupt every checkpoint holding it.
+  ``__slots__`` still rejects foreign attributes outright.
 """
 
 from __future__ import annotations
@@ -407,7 +409,7 @@ class StreamTuple:
     __hash__ = None  # mutable payload mapping: identity-free hashing is a bug farm
 
     def __getstate__(self):
-        """Slot state for pickling / deep-copying (checkpoint containers)."""
+        """Slot state for pickling (the live wire pickles recovery checkpoints)."""
         return None, {slot: getattr(self, slot) for slot in StreamTuple.__slots__}
 
     def __setstate__(self, state) -> None:

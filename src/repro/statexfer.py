@@ -227,12 +227,15 @@ def extract_sjoin_state(
     """Remove and return the moved buckets' tuples from each SJoin of ``node``.
 
     Keyed by the join's position within the fragment (replica names differ,
-    positions align across replicas of one logical node).
+    positions align across replicas of one logical node).  Like
+    :func:`capture_checkpoint`, the handoff reads state through the
+    side-effect-free :meth:`Operator.checkpoint_state`, so it never installs
+    a per-operator undo point.
     """
     extracted: dict[int, list] = {}
     joins = [op for op in node.diagram if isinstance(op, SJoin)]
     for position, join in enumerate(joins):
-        state = join.checkpoint().state_copy()
+        state = join.checkpoint_state()
         moved: list = []
         kept: list = []
         for item in state["custom"].get("state", ()):
@@ -244,7 +247,7 @@ def extract_sjoin_state(
         extracted[position] = moved
         if moved:
             state["custom"]["state"] = kept
-            join.restore(OperatorCheckpoint.capture(join.name, state))
+            join.restore(OperatorCheckpoint(join.name, state))
     return extracted
 
 
@@ -261,7 +264,7 @@ def merge_sjoin_state(node: "ProcessingNode", canonical: dict[int, list]) -> int
         moved = canonical.get(position, [])
         if not moved:
             continue
-        state = join.checkpoint().state_copy()
+        state = join.checkpoint_state()
         merged = sorted(
             list(state["custom"].get("state", ())) + moved,
             key=lambda item: (item.stime, item.values.get("seq", item.tuple_id)),
@@ -270,5 +273,5 @@ def merge_sjoin_state(node: "ProcessingNode", canonical: dict[int, list]) -> int
             trimmed += len(merged) - join.state_size
             merged = merged[len(merged) - join.state_size:]
         state["custom"]["state"] = merged
-        join.restore(OperatorCheckpoint.capture(join.name, state))
+        join.restore(OperatorCheckpoint(join.name, state))
     return trimmed

@@ -118,7 +118,11 @@ def test_equality_matches_field_comparison():
 
 
 def test_deepcopy_round_trips_slots():
-    """Checkpoint containers deep-copy buffered tuples; slots must survive."""
+    """Copying a tuple field by field keeps its slots and flags.
+
+    Checkpoints share tuples in memory, but the live wire pickles recovery
+    checkpoints, which rebuilds every tuple through the same protocol.
+    """
     import copy
 
     original = StreamTuple.insertion(7, 1.25, {"seq": 7}).with_stable_seq(3)

@@ -170,3 +170,8 @@ def test_repo_baseline_matches_benchmark_metric_names():
     assert tracked, "baseline contains no trend-tracked metrics"
     for expected in ("shard(4)_events", "shard(4)_proc_new", "chain(10)_events"):
         assert expected in baseline["test_shard_throughput_scaling"]
+    # The checkpoint tax is a warn-only wall trend beside hard-tracked events.
+    tax = baseline["test_shard4_checkpoint_tax"]
+    assert cbr.wall_direction("shard4_checkpoint_tax_wall_ms") == 1
+    assert cbr.tracked_direction("shard4_checkpoint_events") == 1
+    assert {"shard4_checkpoint_tax_wall_ms", "shard4_checkpoint_events"} <= set(tax)
